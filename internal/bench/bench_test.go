@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/tracelog"
 )
 
 // smallParams is a scaled-down workload for fast functional tests.
@@ -140,11 +141,23 @@ func TestOpenWorldLogGrowsWithMessageSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Closed-world logs hold counters, not contents; allow small variation
-	// from differing interval counts.
-	ratio := float64(closedBig.Client.LogBytes) / float64(closedSmall.Client.LogBytes)
-	if ratio > 2 {
-		t.Errorf("closed log grew %.1fx with message size; should be roughly flat", ratio)
+	// Closed-world logs hold counters, not contents. The schedule log is left
+	// out: its interval count depends on real scheduling, not on messages.
+	// The network log must keep the same records, and may grow only by the
+	// wider varints of the recorded read lengths — at most one byte per
+	// record — never by message bytes.
+	for _, side := range []struct {
+		name       string
+		small, big *tracelog.Log
+	}{
+		{"client", closedSmall.ClientLogs.Network, closedBig.ClientLogs.Network},
+		{"server", closedSmall.ServerLogs.Network, closedBig.ServerLogs.Network},
+	} {
+		n, small, big := side.small.Len(), side.small.Size(), side.big.Size()
+		if side.big.Len() != n || big < small || big-small > n {
+			t.Errorf("closed %s network log went from %d records/%dB to %d records/%dB with 8x messages; want the same records, at most one byte each larger",
+				side.name, n, small, side.big.Len(), big)
+		}
 	}
 }
 

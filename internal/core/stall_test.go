@@ -122,3 +122,111 @@ func TestWaitingThreadsDiagnostic(t *testing.T) {
 	rep.Wait()
 	rep.Close()
 }
+
+// TestStallBroadcastReachesEveryTurnstile parks one replaying thread on the
+// VM's global order and another on a registered object's turnstile, then
+// stalls both. The watchdog's one broadcast must reach both: each panics
+// with a DivergenceError, the global waiter's Waiting names the counter it
+// needed, and the VM winds down.
+func TestStallBroadcastReachesEveryTurnstile(t *testing.T) {
+	// program runs main (thread 0), A (thread 1) and B (thread 2). Main's
+	// spawns take global counters 0 and 1; when skip is false main then sets
+	// g (counter 2) and x (obj0 access 0) before releasing A, which sets g
+	// (counter 3), and B, which sets x (obj0 access 1).
+	program := func(vm *VM, skip bool, got chan any) {
+		var g, x SharedInt
+		x.Register(vm)
+		vm.Start(func(main *Thread) {
+			release := make(chan struct{})
+			main.Spawn(func(th *Thread) {
+				defer func() { got <- recover() }()
+				<-release
+				g.Set(th, 1)
+			})
+			main.Spawn(func(th *Thread) {
+				defer func() { got <- recover() }()
+				<-release
+				x.Set(th, 1)
+			})
+			if !skip {
+				g.Set(main, 0)
+				x.Set(main, 0)
+			}
+			close(release)
+		})
+	}
+
+	rec, err := NewVM(Config{ID: 73, Mode: ids.Record, OrderMode: ids.OrderSharded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recGot := make(chan any, 2)
+	program(rec, false, recGot)
+	rec.Wait()
+	rec.Close()
+	for i := 0; i < 2; i++ {
+		if r := <-recGot; r != nil {
+			t.Fatalf("record run panicked: %v", r)
+		}
+	}
+
+	// Replay with main's two sets skipped: the global clock stops at 2 while
+	// A waits for 3, and obj0 stops at 0 while B waits for access 1.
+	rep, err := NewVM(Config{
+		ID: 73, Mode: ids.Replay, ReplayLogs: rec.Logs(),
+		OrderMode: ids.OrderSharded, StallTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan any, 2)
+	program(rep, true, got)
+
+	var global, object *DivergenceError
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-got:
+			de, ok := r.(*DivergenceError)
+			if !ok {
+				t.Fatalf("recovered %v (%T), want *DivergenceError", r, r)
+			}
+			if !strings.Contains(de.Msg, "stalled") {
+				t.Errorf("divergence message %q does not mention the stall", de.Msg)
+			}
+			switch de.Thread {
+			case 1:
+				global = de
+			case 2:
+				object = de
+			default:
+				t.Errorf("unexpected divergence on thread %d: %v", de.Thread, de)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("stall broadcast did not reach both turnstiles")
+		}
+	}
+	if global == nil || object == nil {
+		t.Fatalf("global waiter %v, object waiter %v: want one of each", global, object)
+	}
+	if gc, ok := global.Waiting[1]; !ok || gc != 3 {
+		t.Errorf("global waiter's Waiting = %v, want thread 1 waiting for counter 3", global.Waiting)
+	}
+	if !strings.Contains(global.Msg, "waits for counter 3") {
+		t.Errorf("global waiter's message %q does not name counter 3", global.Msg)
+	}
+	if !strings.Contains(object.Msg, "obj0") {
+		t.Errorf("object waiter's message %q does not name the object", object.Msg)
+	}
+
+	waited := make(chan struct{})
+	go func() {
+		rep.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("VM.Wait did not return after the stall")
+	}
+	rep.Close()
+}

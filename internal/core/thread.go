@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/tracelog"
 )
 
 // Thread is one application thread of a DJVM. Threads are created in the
@@ -25,46 +24,36 @@ type Thread struct {
 	// goroutine touches it.
 	eventNum ids.EventNum
 
-	// Record-mode logical-schedule-interval state, guarded by vm.mu (every
-	// mutation happens inside the GC-critical section).
-	intFirst ids.GCount
-	intLast  ids.GCount
-	intOpen  bool
-	finished bool
-
-	// Last open-interval durability note written for this thread (WAL crash
-	// recovery; see VM.noteOpenIntervalsLocked). Guarded by vm.mu.
-	noted     bool
-	noteFirst ids.GCount
-	noteLast  ids.GCount
-
-	// Replay-mode schedule cursor. Only the owning goroutine touches it.
-	schedule []tracelog.Interval
-	si       int
-	pos      ids.GCount
-	posInit  bool
+	// cursors are the replay-mode schedule cursors, indexed by turnstile
+	// number (0 is the global order). Only the owning goroutine touches them.
+	cursors []cursor
 
 	// turnCh delivers this thread's wake token when its awaited counter
-	// value is reached (successor-directed wakeup; see VM.turnWaiters).
-	// Buffered so the waker never blocks; at most one token is ever
-	// outstanding because each counter value has a single waiter.
+	// value is reached (successor-directed wakeup; see turnstile.waiters).
+	// Buffered so the waker never blocks; at most one token is outstanding
+	// because the thread waits on one turnstile at a time and each counter
+	// value has a single waiter. A stale token from an earlier wake costs one
+	// spurious loop iteration at worst.
 	turnCh chan struct{}
 
 	// rng drives record-mode scheduler jitter. Only the owning goroutine
 	// touches it; zero means unseeded.
 	rng uint64
 
-	// progSeq counts this thread's sharded-mode critical events in program
-	// order — the lock-free thread-local counter of the DOR scheme. Only the
-	// owning goroutine touches it; with per-object counters replacing the
-	// global clock it is the per-thread coordinate of an event (the pair
-	// ⟨object accessSeq, thread progSeq⟩ locates a sharded event the way a
-	// GCount locates a global one), surfaced in divergence diagnostics.
+	// progSeq counts this thread's critical events in program order, on
+	// every turnstile. Only the owning goroutine touches it. Per-object
+	// counters order events only among threads sharing an object, so the
+	// pair ⟨turnstile value, progSeq⟩ locates an event in divergence
+	// diagnostics whichever order it took.
 	progSeq uint64
 
-	// done is closed when the thread's function returns (after its final
-	// interval is flushed); Join blocks on it.
+	// done is closed when the thread's function returns; Join blocks on it.
 	done chan struct{}
+
+	// The owner writes rng and progSeq on every critical event; the pad keeps
+	// the next Thread's fields, which its own goroutine reads just as often,
+	// off those cache lines.
+	_ [64]byte
 }
 
 // maybeYield yields the processor with probability 1/vm.jitter, emulating a
@@ -111,11 +100,6 @@ func (t *Thread) EventID(ev ids.EventNum) ids.NetworkEventID {
 // thread's event numbering where the record phase left off.
 func (t *Thread) CurrentEventNum() ids.EventNum { return t.eventNum }
 
-// ProgramOrder reports how many sharded-mode critical events this thread has
-// executed (0 outside sharded mode). Must be called from the owning
-// goroutine, like every Thread method.
-func (t *Thread) ProgramOrder() uint64 { return t.progSeq }
-
 // DivergenceError is thrown (via panic) when a replaying thread's execution
 // departs from the recorded schedule — e.g. it attempts more critical events
 // than were recorded. Replay of a deterministic re-execution never diverges;
@@ -128,9 +112,10 @@ type DivergenceError struct {
 	// GC is the global counter value at the moment divergence was detected —
 	// the anchor the causal analyzer's WhyDiverged walks backwards from.
 	GC ids.GCount
-	// Waiting maps each parked thread to the counter value it was waiting
-	// for when the divergence was detected (nil when no threads were parked
-	// or the failure was not a stall).
+	// Waiting maps each thread parked on the global order to the counter
+	// value it was waiting for when a stall was detected (nil when the
+	// failure was not a stall, or the stalled thread waited on an object's
+	// turnstile, whose values are access sequences, not counters).
 	Waiting map[ids.ThreadNum]ids.GCount
 }
 
@@ -152,14 +137,15 @@ func (t *Thread) diverge(format string, args ...any) {
 // VM.launch absorbs it and winds the thread down as a normal return.
 type replayLogEnd struct{}
 
-// endOfSchedule resolves a replay attempt beyond the recorded schedule:
-// a clean stop under StopAtLogEnd (crash-recovery replay reached the crash
-// point), a divergence otherwise. Never returns.
-func (t *Thread) endOfSchedule(what string) {
+// endOfSchedule resolves a replay attempt beyond the thread's recorded
+// events on ts: a clean stop under StopAtLogEnd (crash-recovery replay
+// reached the crash point), a divergence otherwise. Never returns.
+func (t *Thread) endOfSchedule(ts *turnstile, what string) {
 	if t.vm.stopAtLogEnd {
 		panic(replayLogEnd{})
 	}
-	t.diverge("%s attempted beyond recorded schedule", what)
+	t.diverge("%s attempted beyond recorded schedule at %s (program-order event %d)",
+		what, ts.at(ids.GCount(ts.clock.Load())), t.progSeq)
 }
 
 // Critical executes op as one non-blocking critical event.
@@ -183,183 +169,26 @@ func (t *Thread) Critical(op func(gc ids.GCount)) {
 // CriticalKind is Critical with an explicit event-kind tag for the per-kind
 // counters of the observability layer.
 func (t *Thread) CriticalKind(kind obs.EventKind, op func(gc ids.GCount)) {
-	vm := t.vm
-	switch vm.mode {
+	t.critical(&t.vm.turnstile, kind, op)
+}
+
+// critical executes op as one non-blocking critical event of order ts.
+func (t *Thread) critical(ts *turnstile, kind obs.EventKind, op func(gc ids.GCount)) {
+	switch t.vm.mode {
 	case ids.Passthrough:
 		op(0)
 		t.maybeYield()
 	case ids.Record:
-		vm.recordEvent(t, kind, op)
+		ts.record(t, kind, op)
 		t.maybeYield()
 	case ids.Replay:
-		next, ok := t.nextScheduled()
+		c := t.cursor(ts)
+		seq, ok := c.next()
 		if !ok {
-			t.endOfSchedule("critical event")
+			t.endOfSchedule(ts, "critical event")
 		}
-		vm.replayEvent(t, kind, next, op)
-		t.advanceCursor()
-	}
-}
-
-// recordEvent is the GC-critical section of the record phase: counter update
-// and event execution as one atomic operation (§2.2). The deferred unlock
-// keeps the VM consistent when op panics (e.g. a MonitorStateError the
-// application recovers from): the counter has not ticked and no interval was
-// extended, as if the event never happened.
-func (vm *VM) recordEvent(t *Thread, kind obs.EventKind, op func(gc ids.GCount)) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	gc := ids.GCount(vm.clock.Load())
-	sampled := uint64(gc)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	op(gc)
-	if vm.observer != nil {
-		vm.observer(t.num, gc)
-	}
-	if sampled {
-		vm.metrics.ObserveGCHold(time.Since(start))
-	}
-	vm.clock.Store(uint64(gc) + 1)
-	vm.metrics.IncEvent(kind, uint64(gc)+1)
-	t.extendIntervalLocked(gc)
-	if vm.noteEvery != 0 && (uint64(gc)+1)%vm.noteEvery == 0 {
-		vm.noteOpenIntervalsLocked()
-	}
-	if vm.tsEvery != 0 && (uint64(gc)+1)%vm.tsEvery == 0 {
-		vm.appendTimestampLocked(gc + 1)
-	}
-}
-
-// replayEvent waits for the event's turn, executes it, and advances the
-// counter (§2.2).
-//
-// With no EventObserver installed the common path runs without vm.mu: the
-// recorded schedule admits exactly one thread per counter value, so until
-// this thread advances the clock no other thread may execute a critical
-// event — the schedule itself provides the mutual exclusion. mu is then
-// taken only to park (awaitTurn) and to hand the wake token to a parked
-// successor. With an observer the event keeps the GC-critical section
-// locked, preserving the documented contract that the stall watchdog's
-// progress probe serializes behind a blocking callback.
-func (vm *VM) replayEvent(t *Thread, kind obs.EventKind, next ids.GCount, op func(gc ids.GCount)) {
-	if vm.observer == nil {
-		if ids.GCount(vm.clock.Load()) != next {
-			vm.awaitTurn(t, next)
-		}
-		sampled := uint64(next)&vm.sampleMask == 0
-		var start time.Time
-		if sampled {
-			start = time.Now()
-		}
-		op(next)
-		if sampled {
-			vm.metrics.ObserveGCHold(time.Since(start))
-		}
-		after := uint64(next) + 1
-		vm.clock.Store(after)
-		vm.metrics.IncEvent(kind, after)
-		// Store-buffering pairing with waitTurnLocked: the clock store above
-		// is sequenced before this parked load, and a waiter publishes its
-		// parked count before re-checking the clock — so either the waiter is
-		// visible here, or it sees the advanced clock and never parks.
-		if vm.parked.Load() != 0 {
-			vm.mu.Lock()
-			vm.wakeTurnLocked(ids.GCount(after))
-			vm.mu.Unlock()
-		}
-		return
-	}
-
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.waitTurnLocked(t, next)
-	sampled := uint64(next)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	op(next)
-	vm.observer(t.num, next)
-	if sampled {
-		vm.metrics.ObserveGCHold(time.Since(start))
-	}
-	after := uint64(next) + 1
-	vm.clock.Store(after)
-	vm.metrics.IncEvent(kind, after)
-	vm.wakeTurnLocked(ids.GCount(after))
-}
-
-// wakeTurnLocked hands the turn to the thread whose recorded event is gc, if
-// one is parked. At most one thread ever waits per counter value, so this
-// wakes exactly the successor; the watchdog's stall broadcast is the only
-// all-waiter wakeup. The registration stays in place — the woken thread
-// unregisters itself once it reacquires mu. Caller holds vm.mu.
-func (vm *VM) wakeTurnLocked(gc ids.GCount) {
-	if t := vm.turnWaiters[gc]; t != nil {
-		select {
-		case t.turnCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// awaitTurn blocks until the global counter reaches next without executing
-// anything — the first half of a replayed blocking event.
-func (vm *VM) awaitTurn(t *Thread, next ids.GCount) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	vm.waitTurnLocked(t, next)
-}
-
-// waitTurnLocked parks the thread until the global counter reaches next,
-// registering it in the successor-directed wakeup table (and with it the
-// stall watchdog) and feeding the sampled turn-wait latency histogram.
-// Caller holds vm.mu.
-func (vm *VM) waitTurnLocked(t *Thread, next ids.GCount) {
-	if ids.GCount(vm.clock.Load()) == next {
-		return // its turn already: no wait to observe
-	}
-	sampled := uint64(next)&vm.sampleMask == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	// Publish the parked count before re-checking the clock: a lock-free
-	// advancer that misses it must have stored the new clock value first,
-	// which the loop's re-check then sees (pairing in replayEvent).
-	vm.parked.Add(1)
-	vm.metrics.IncParked()
-	for ids.GCount(vm.clock.Load()) != next {
-		if vm.stalled.Load() {
-			vm.parked.Add(-1)
-			vm.metrics.DecParked()
-			waiting := vm.waitingLocked()
-			if waiting == nil {
-				waiting = make(map[ids.ThreadNum]ids.GCount, 1)
-			}
-			waiting[t.num] = next // this thread is not in turnWaiters yet
-			panic(&DivergenceError{
-				VM:     vm.id,
-				Thread: t.num,
-				Msg: fmt.Sprintf("replay stalled at counter %d; this thread waits for counter %d (parked threads: %v)",
-					ids.GCount(vm.clock.Load()), next, vm.waitingLocked()),
-				GC:      ids.GCount(vm.clock.Load()),
-				Waiting: waiting,
-			})
-		}
-		vm.turnWaiters[next] = t
-		vm.mu.Unlock()
-		<-t.turnCh
-		vm.mu.Lock()
-		delete(vm.turnWaiters, next)
-	}
-	vm.parked.Add(-1)
-	vm.metrics.DecParked()
-	if sampled {
-		vm.metrics.ObserveTurnWait(time.Since(start))
+		ts.replay(t, kind, seq, op)
+		c.advance()
 	}
 }
 
@@ -391,27 +220,33 @@ func (t *Thread) Blocking(op func(), mark func(gc ids.GCount)) {
 // BlockingKind is Blocking with an explicit event-kind tag for the per-kind
 // counters of the observability layer.
 func (t *Thread) BlockingKind(kind obs.EventKind, op func(), mark func(gc ids.GCount)) {
-	vm := t.vm
-	switch vm.mode {
+	t.blocking(&t.vm.turnstile, kind, op, mark)
+}
+
+// blocking executes a blocking critical event of order ts.
+func (t *Thread) blocking(ts *turnstile, kind obs.EventKind, op func(), mark func(gc ids.GCount)) {
+	switch t.vm.mode {
 	case ids.Passthrough:
 		op()
 		t.maybeYield()
 	case ids.Record:
 		op()
-		vm.recordEvent(t, kind, mark)
+		ts.record(t, kind, mark)
 		t.maybeYield()
 	case ids.Replay:
-		next, ok := t.nextScheduled()
+		seq, ok := t.cursor(ts).next()
 		if !ok {
-			t.endOfSchedule("blocking critical event")
+			t.endOfSchedule(ts, "blocking critical event")
 		}
-		vm.awaitTurn(t, next)
+		if ids.GCount(ts.clock.Load()) != seq {
+			ts.await(t, seq)
+		}
 		op()
-		// Only this thread may advance the counter past next, so the inner
-		// turn check in replayEvent passes immediately; the shared path keeps
-		// the panic-safety discipline in one place.
-		vm.replayEvent(t, kind, next, mark)
-		t.advanceCursor()
+		// Only this thread may advance the counter past seq, so the turn
+		// check in replay passes immediately; the shared path keeps the
+		// panic-safety discipline in one place.
+		ts.replay(t, kind, seq, mark)
+		t.cursors[ts.num].advance()
 	}
 }
 
@@ -475,90 +310,19 @@ func (t *Thread) Spawn(fn func(t *Thread)) *Thread {
 	return child
 }
 
-// extendIntervalLocked folds one critical event into the thread's current
-// logical schedule interval, flushing the previous interval when another
-// thread's event broke consecutiveness (§2.2). Caller holds vm.mu.
-func (t *Thread) extendIntervalLocked(gc ids.GCount) {
-	if t.intOpen && gc == t.intLast+1 {
-		t.intLast = gc
-		return
-	}
-	t.flushIntervalLocked()
-	t.intFirst, t.intLast, t.intOpen = gc, gc, true
-}
-
-// flushIntervalLocked appends the open interval, if any, to the schedule log.
-// Caller holds vm.mu.
-func (t *Thread) flushIntervalLocked() {
-	if !t.intOpen {
-		return
-	}
-	t.intOpen = false
-	if t.vm.logs != nil {
-		t.vm.logs.Schedule.Append(&tracelog.Interval{
-			Thread: t.num,
-			First:  t.intFirst,
-			Last:   t.intLast,
-		})
-		t.vm.metrics.IncInterval()
+// wake hands the thread its wake token without blocking.
+func (t *Thread) wake() {
+	select {
+	case t.turnCh <- struct{}{}:
+	default:
 	}
 }
 
-// finish closes the thread's record-mode interval state. Idempotent; called
-// when the thread function returns and again defensively from VM.Close.
-func (t *Thread) finish() {
-	vm := t.vm
-	if vm.mode != ids.Record {
-		return
-	}
-	vm.mu.Lock()
-	if !t.finished {
-		t.finished = true
-		t.flushIntervalLocked()
-	}
-	vm.mu.Unlock()
-}
-
-// nextScheduled reports the counter value of this thread's next recorded
-// critical event.
-func (t *Thread) nextScheduled() (ids.GCount, bool) {
-	for t.si < len(t.schedule) {
-		iv := t.schedule[t.si]
-		if !t.posInit {
-			t.pos = iv.First
-			t.posInit = true
-		}
-		if t.pos <= iv.Last {
-			return t.pos, true
-		}
-		t.si++
-		t.posInit = false
-	}
-	return 0, false
-}
-
-// advanceCursor moves past the critical event just executed.
-func (t *Thread) advanceCursor() {
-	t.pos++
-	if t.si < len(t.schedule) && t.pos > t.schedule[t.si].Last {
-		t.si++
-		t.posInit = false
-	}
-}
-
-// RemainingScheduled reports how many recorded critical events this thread
-// has not yet replayed. Zero for non-replay modes.
+// RemainingScheduled reports how many of this thread's recorded events on the
+// global order it has not yet replayed. Zero for non-replay modes.
 func (t *Thread) RemainingScheduled() uint64 {
-	var total uint64
-	for i := t.si; i < len(t.schedule); i++ {
-		iv := t.schedule[i]
-		first := iv.First
-		if i == t.si && t.posInit {
-			first = t.pos
-		}
-		if first <= iv.Last {
-			total += uint64(iv.Last-first) + 1
-		}
+	if len(t.cursors) == 0 {
+		return 0
 	}
-	return total
+	return t.cursors[0].remaining()
 }

@@ -103,10 +103,12 @@ func TestTimedWaitRaceReplaysConsistently(t *testing.T) {
 				if cfg.Mode == ids.Record || cfg.Mode == ids.Passthrough {
 					time.Sleep(time.Duration(r%5) * 150 * time.Microsecond)
 				}
+				// Notify unconditionally: the wait-set size is not a
+				// critical event, so branching on it would let replay take
+				// a path the schedule never recorded. A notify that finds
+				// the waiter already timed out wakes nobody.
 				mon.Enter(main)
-				if mon.WaiterCount() > 0 {
-					mon.Notify(main)
-				}
+				mon.Notify(main)
 				mon.Exit(main)
 				<-done
 			}

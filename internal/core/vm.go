@@ -74,9 +74,9 @@ type Config struct {
 	// the checkpointed snapshot before executing further critical events.
 	Resume *ResumePoint
 	// StallTimeout, when > 0 in replay mode, arms a watchdog that detects a
-	// stalled replay: if the global counter makes no progress for the
-	// timeout while threads are waiting for their turns, every waiting
-	// thread panics with a DivergenceError describing which counter it
+	// stalled replay: if no critical event executes for the timeout while
+	// threads are waiting for their turns, every waiting thread, on every
+	// turnstile, panics with a DivergenceError describing which counter it
 	// needed. Mismatched or truncated logs otherwise surface as silent
 	// deadlocks. The watchdog cannot see threads blocked inside network
 	// operations waiting on a stalled *peer* VM, so cross-VM stalls need
@@ -116,18 +116,18 @@ type Config struct {
 	// runs out of schedule — that is the crash point, not a divergence.
 	// Events inside the recovered prefix are unaffected and replay exactly.
 	StopAtLogEnd bool
-	// OrderMode selects how the VM orders critical events. OrderGlobal (the
-	// zero value) is the paper's scheme: one global counter totally orders
-	// every critical event. OrderSharded records a per-object access order
-	// for *registered* shared objects instead (see SharedInt.Register,
-	// Monitor.Register): each registered object carries its own access
-	// counter and replay enforces only per-object FIFO order, so threads
-	// touching disjoint objects record and replay concurrently. Events with
-	// no registered object — network, environment, thread lifecycle,
-	// checkpoints, unregistered objects — keep the global mechanism.
+	// OrderMode selects how the VM's one ordering engine, the turnstile, is
+	// keyed. OrderGlobal (the zero value) is the paper's scheme: the VM's own
+	// turnstile — the global counter — totally orders every critical event.
+	// OrderSharded gives each *registered* shared object (see
+	// SharedInt.Register, Monitor.Register) a turnstile of its own, keyed by
+	// the object's access sequence, so threads touching disjoint objects
+	// record and replay concurrently. Events with no registered object —
+	// network, environment, thread lifecycle, checkpoints, unregistered
+	// objects — stay on the global turnstile.
 	//
-	// Sharded mode gives up the single total order some extensions need:
-	// EventObserver, EnableTimestamps, EnableCausalTrace, EnableWAL, and
+	// Sharded mode gives up the single total order some extensions are keyed
+	// by: EventObserver, EnableTimestamps, EnableCausalTrace, EnableWAL, and
 	// checkpoint Resume all require OrderGlobal and fail with a clear error
 	// under OrderSharded. A replay VM's OrderMode must match the recording's.
 	OrderMode ids.OrderMode
@@ -167,50 +167,39 @@ type VM struct {
 	world ids.World
 	peers map[string]bool
 
-	// mu is the GC-critical-section lock: in record mode it makes counter
-	// update + event execution one atomic operation. In replay mode with no
-	// EventObserver installed, scheduled threads advance the clock lock-free
-	// — the recorded schedule admits exactly one thread per counter value,
-	// so the schedule itself is the mutual exclusion — and mu guards only
-	// the park/wake bookkeeping (turnWaiters, stalled).
-	mu    sync.Mutex
-	clock atomic.Uint64 // the global counter (an ids.GCount)
+	// turnstile is the global order (see turnstile): its counter
+	// (vm.clock) is the paper's global counter, and its lock (vm.mu) is the
+	// GC-critical section. In replay mode with no EventObserver installed,
+	// scheduled threads advance the clock lock-free, and mu guards only the
+	// park/wake bookkeeping. mu also guards the record-phase extensions below
+	// (notes, timestamps, causal tracing, closed).
+	turnstile
 
 	jitter     uint64 // yield 1-in-jitter after record-mode critical events
 	sampleMask uint64 // counter values with gc&mask==0 get latency-timed
 	observer   func(thread ids.ThreadNum, gc ids.GCount)
 
-	// Replay gating: successor-directed wakeup. Each parked thread registers
-	// under the counter value it awaits; the recorded schedule gives every
-	// counter value to at most one thread, so advancing the clock wakes
-	// exactly the successor whose turn it is (the stall watchdog's broadcast
-	// is the only all-waiter wakeup). Guarded by mu. parked counts the
-	// registered threads and is the lock-free fast path's cue to take mu and
-	// hand over the turn (see replayEvent).
-	turnWaiters  map[ids.GCount]*Thread
-	parked       atomic.Int64
+	// stalled is set by the stall watchdog; every parked thread then fails
+	// with its own diagnostics.
 	stalled      atomic.Bool
 	stopWatchdog chan struct{}
 
-	// Sharded order mode (Config.OrderMode == OrderSharded): the registered
-	// object registry. nextObjID assigns ObjectIDs in registration order;
-	// objs lets Close flush open access runs and lets the watchdog broadcast
-	// a stall to per-object waiters; objParked counts threads parked on
-	// object turnstiles (the watchdog's cue that replay is waiting even when
-	// the global clock is idle).
+	// Sharded order mode: objs are the registered objects' turnstiles in
+	// registration order, so objs[k] orders ObjectID k.
 	orderMode ids.OrderMode
-	nextObjID atomic.Uint64
 	objsMu    sync.Mutex
-	objs      []*objState
-	objParked atomic.Int64
+	objs      []*turnstile
 
 	logs *tracelog.Set // record mode
 
 	// noteEvery is the open-interval durability-note cadence (events between
-	// note rounds) when a WAL is attached; 0 disables notes. Each round
-	// snapshots every thread's still-open schedule interval into the WAL so
-	// crash recovery can credit coverage a parked thread has not flushed yet.
-	noteEvery uint64
+	// notes) when a WAL is attached; 0 disables notes. Each note snapshots
+	// the global order's still-open run into the WAL so crash recovery can
+	// credit coverage that has not been flushed yet; noteFirst/noteLast are
+	// the last run noted.
+	noteEvery           uint64
+	noted               bool
+	noteFirst, noteLast ids.GCount
 
 	// tsEvery is the sampled wall-clock timestamp cadence (critical events
 	// between stamps) when EnableTimestamps was called; 0 disables stamps.
@@ -286,11 +275,15 @@ func NewVM(cfg Config) (*VM, error) {
 	if cfg.OrderMode != ids.OrderGlobal && cfg.OrderMode != ids.OrderSharded {
 		return nil, fmt.Errorf("core: vm %d: unknown order mode %v", cfg.ID, cfg.OrderMode)
 	}
-	if cfg.OrderMode == ids.OrderSharded && cfg.EventObserver != nil {
-		return nil, fmt.Errorf("core: vm %d: EventObserver requires OrderGlobal — sharded mode has no single total event order to observe", cfg.ID)
+	if cfg.EventObserver != nil {
+		if err := vm.globalOnly("EventObserver"); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.OrderMode == ids.OrderSharded && cfg.Resume != nil {
-		return nil, fmt.Errorf("core: vm %d: checkpoint resume requires OrderGlobal — fast-forward is defined on the global schedule", cfg.ID)
+	if cfg.Resume != nil {
+		if err := vm.globalOnly("checkpoint Resume"); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.ScheduleOverride != nil && cfg.Mode != ids.Replay {
 		return nil, fmt.Errorf("core: vm %d: ScheduleOverride is a replay-mode hook (mode %v)", cfg.ID, cfg.Mode)
@@ -349,7 +342,6 @@ func NewVM(cfg Config) (*VM, error) {
 			vm.nextThread = cfg.Resume.NextThread
 			vm.metrics.SetClock(uint64(cfg.Resume.GC))
 		}
-		vm.turnWaiters = make(map[ids.GCount]*Thread)
 		if cfg.StallTimeout > 0 {
 			vm.stopWatchdog = make(chan struct{})
 			vm.metrics.SetWatchdogArmed(true)
@@ -360,7 +352,28 @@ func NewVM(cfg Config) (*VM, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
+	vm.turnstile.init(vm, 0)
 	return vm, nil
+}
+
+// globalOnly is the one check refusing, in sharded mode, the features keyed
+// by global counter values: the observer, WAL recovery, timestamps and net
+// spans, and checkpoint resume's fast-forward along the global schedule.
+// Registered objects keep orders of their own, so there is no single total
+// order to key them by.
+func (vm *VM) globalOnly(feature string) error {
+	if vm.orderMode == ids.OrderSharded {
+		return fmt.Errorf("core: vm %d: %s requires OrderGlobal — registered objects keep orders of their own", vm.id, feature)
+	}
+	return nil
+}
+
+// recordOnly admits a record-phase extension: record mode, global order.
+func (vm *VM) recordOnly(feature string) error {
+	if vm.mode != ids.Record {
+		return fmt.Errorf("core: vm %d: %s in %v mode", vm.id, feature, vm.mode)
+	}
+	return vm.globalOnly(feature)
 }
 
 // ID reports the DJVM identity.
@@ -404,11 +417,8 @@ func (vm *VM) Logs() *tracelog.Set { return vm.logs }
 // durability degrades while the in-memory logs stay intact; check
 // Logs().WAL().Err() or the recovery report.
 func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
-	if vm.mode != ids.Record {
-		return fmt.Errorf("core: vm %d: EnableWAL in %v mode", vm.id, vm.mode)
-	}
-	if vm.orderMode == ids.OrderSharded {
-		return fmt.Errorf("core: vm %d: EnableWAL requires OrderGlobal — torn-write recovery repairs a global-schedule prefix", vm.id)
+	if err := vm.recordOnly("EnableWAL"); err != nil {
+		return err
 	}
 	m := vm.metrics
 	userSync := opts.OnSync
@@ -445,11 +455,8 @@ func (vm *VM) EnableWAL(path string, opts tracelog.WALOptions) error {
 // digests of the schedule's replay-relevant content are unaffected — and feed
 // the causal analyzer's critical-path and timeline reconstruction.
 func (vm *VM) EnableTimestamps(every int) error {
-	if vm.mode != ids.Record {
-		return fmt.Errorf("core: vm %d: EnableTimestamps in %v mode", vm.id, vm.mode)
-	}
-	if vm.orderMode == ids.OrderSharded {
-		return fmt.Errorf("core: vm %d: EnableTimestamps requires OrderGlobal — anchors map the global counter onto wall time", vm.id)
+	if err := vm.recordOnly("EnableTimestamps"); err != nil {
+		return err
 	}
 	if every <= 0 {
 		return fmt.Errorf("core: vm %d: EnableTimestamps cadence %d, want > 0", vm.id, every)
@@ -468,11 +475,8 @@ func (vm *VM) EnableTimestamps(every int) error {
 // edges; the base replay protocol neither needs nor reads them. Record mode
 // only; call before the first critical event.
 func (vm *VM) EnableCausalTrace() error {
-	if vm.mode != ids.Record {
-		return fmt.Errorf("core: vm %d: EnableCausalTrace in %v mode", vm.id, vm.mode)
-	}
-	if vm.orderMode == ids.OrderSharded {
-		return fmt.Errorf("core: vm %d: EnableCausalTrace requires OrderGlobal — net spans are keyed by global counter values", vm.id)
+	if err := vm.recordOnly("EnableCausalTrace"); err != nil {
+		return err
 	}
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
@@ -492,29 +496,21 @@ func (vm *VM) appendTimestampLocked(gc ids.GCount) {
 	vm.metrics.IncTimestamp()
 }
 
-// noteOpenIntervalsLocked appends an OpenInterval durability note for every
-// thread whose schedule interval is still open and has grown since its last
-// note. Without these, a thread parked in a long blocking event (main in
-// Join, say) would never flush the interval covering the earliest counters,
-// and a crash would leave RecoverFile no evidence that those events were
-// scheduled — collapsing the replayable prefix to [0,0). Notes carry no
-// schedule semantics (the index and replay skip them); only repairSet reads
-// them. Caller holds vm.mu, so thread interval state is stable and the note
-// claims only events whose records already precede it in the WAL stream.
-func (vm *VM) noteOpenIntervalsLocked() {
-	vm.threadsMu.Lock()
-	threads := vm.threads
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		if !t.intOpen || t.finished {
-			continue
-		}
-		if t.noted && t.noteFirst == t.intFirst && t.noteLast == t.intLast {
-			continue
-		}
-		vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: t.num, First: t.intFirst, Last: t.intLast})
-		t.noted, t.noteFirst, t.noteLast = true, t.intFirst, t.intLast
+// noteOpenRunLocked appends an OpenInterval durability note for the global
+// order's still-open run if it has grown since the last note. Without it a
+// long run — or a thread parked in a long blocking event right after one —
+// would leave RecoverFile no evidence that those events were scheduled until
+// another thread's event flushed the run. Notes carry no schedule semantics
+// (the index and replay skip them); only repairSet reads them. Caller holds
+// vm.mu, so the note claims only events whose records already precede it in
+// the WAL stream.
+func (vm *VM) noteOpenRunLocked() {
+	ts := &vm.turnstile
+	if !ts.runOpen || vm.noted && vm.noteFirst == ts.runFirst && vm.noteLast == ts.runLast {
+		return
 	}
+	vm.logs.Schedule.Append(&tracelog.OpenInterval{Thread: ts.runThread, First: ts.runFirst, Last: ts.runLast})
+	vm.noted, vm.noteFirst, vm.noteLast = true, ts.runFirst, ts.runLast
 }
 
 // TruncateWAL compacts the attached WAL so it starts at a retained
@@ -536,18 +532,11 @@ func (vm *VM) TruncateWAL(keep int) (*tracelog.TruncateStats, error) {
 	if vm.logs.WAL() == nil {
 		return nil, fmt.Errorf("core: vm %d: TruncateWAL without EnableWAL", vm.id)
 	}
-	// Flush every open schedule interval first: the compacted stream keeps no
-	// OpenInterval notes, so coverage of [base, now) must be carried entirely
-	// by flushed intervals. Splitting an interval is replay-safe — consecutive
-	// same-thread intervals replay identically to one merged interval.
-	vm.threadsMu.Lock()
-	threads := vm.threads
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		if t.intOpen && !t.finished {
-			t.flushIntervalLocked()
-		}
-	}
+	// Flush the open run first: the compacted stream keeps no OpenInterval
+	// notes, so coverage of [base, now) must be carried entirely by flushed
+	// intervals. Splitting a run is replay-safe — consecutive same-thread
+	// intervals replay identically to one merged interval.
+	vm.flushRunLocked()
 	st, err := vm.logs.TruncateWAL(keep)
 	if err != nil {
 		return nil, err
@@ -616,12 +605,7 @@ func (vm *VM) newThreadLocked() *Thread {
 	}
 	if vm.mode == ids.Replay {
 		t.turnCh = make(chan struct{}, 1)
-		t.schedule = vm.schedIdx.Intervals[t.num]
-		if vm.resume != nil {
-			trimmed, skipped := fastForward(t.schedule, vm.resume.GC)
-			t.schedule = trimmed
-			vm.metrics.AddFastForwardSkips(skipped)
-		}
+		t.openCursors()
 	}
 	vm.threads = append(vm.threads, t)
 	return t
@@ -646,15 +630,13 @@ func fastForward(schedule []tracelog.Interval, at ids.GCount) ([]tracelog.Interv
 	return out, skipped
 }
 
-// launch runs fn on its own goroutine, closing the thread's final interval
-// when fn returns and signaling joiners.
+// launch runs fn on its own goroutine, signaling joiners when fn returns.
 func (vm *VM) launch(t *Thread, fn func(t *Thread)) {
 	t.done = make(chan struct{})
 	vm.activeWork.Add(1)
 	go func() {
 		defer close(t.done)
 		defer vm.activeWork.Done()
-		defer t.finish()
 		defer func() {
 			// Under StopAtLogEnd a thread abandons its function by panicking
 			// the private end-of-schedule signal; absorb it here so the
@@ -685,10 +667,11 @@ func (vm *VM) Wait() {
 
 // watchdog monitors replay progress: if no critical event executes for the
 // timeout while threads are parked on their turns, it flips the stall flag
-// and wakes them to fail with diagnostics. Progress is witnessed by the total
-// event count, not just the global counter — in sharded mode most events
-// advance only per-object turnstiles, and a healthy sharded replay must not
-// trip the watchdog just because its global clock is idle.
+// and wakes every parked thread, on every turnstile, to fail with its own
+// diagnostics. Progress is witnessed by the total event count, not the
+// global counter — in sharded mode most events advance object turnstiles,
+// and a healthy sharded replay must not trip the watchdog just because its
+// global clock is idle.
 func (vm *VM) watchdog(timeout time.Duration) {
 	defer vm.metrics.SetWatchdogArmed(false)
 	tick := time.NewTicker(timeout / 4)
@@ -701,59 +684,41 @@ func (vm *VM) watchdog(timeout time.Duration) {
 			return
 		case <-tick.C:
 		}
+		all := vm.turnstiles()
+		parked := int64(0)
+		for _, ts := range all {
+			parked += ts.parked.Load()
+		}
 		vm.mu.Lock()
 		stall := false
 		switch now := vm.metrics.TotalEvents(); {
 		case now != lastEvents:
 			lastEvents = now
 			lastChange = time.Now()
-		case (len(vm.turnWaiters) > 0 || vm.objParked.Load() > 0) && time.Since(lastChange) >= timeout:
+		case parked > 0 && time.Since(lastChange) >= timeout:
 			stall = true
 			vm.stalled.Store(true)
 			vm.metrics.SetStalled()
-			// The stall is the one case that must wake *every* parked thread,
-			// so each fails with its own diagnostics. Registrations are left
-			// in place: each thread unregisters itself on the way to its
-			// panic, so WaitingThreads stays accurate meanwhile.
-			for _, t := range vm.turnWaiters {
-				select {
-				case t.turnCh <- struct{}{}:
-				default:
-				}
-			}
 		}
 		vm.mu.Unlock()
 		if stall {
-			// Broadcast to per-object waiters outside vm.mu: object locks are
-			// never nested inside the VM lock.
-			vm.wakeAllObjWaiters()
+			// Registrations stay in place: each thread unregisters itself on
+			// the way to its panic, so WaitingThreads stays accurate meanwhile.
+			for _, ts := range all {
+				ts.wakeAll()
+			}
 			return
 		}
 	}
 }
 
 // WaitingThreads reports, for a replaying VM, which threads are parked
-// waiting for their next scheduled counter value — the diagnostic a stalled
-// replay prints.
+// waiting for their next scheduled global counter value — the diagnostic a
+// stalled replay prints.
 func (vm *VM) WaitingThreads() map[ids.ThreadNum]ids.GCount {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
 	return vm.waitingLocked()
-}
-
-// waitingLocked derives the parked-thread diagnostic map from the wakeup
-// table, returning nil when nothing is parked so idle probes (WaitingThreads
-// polling, stall diagnostics racing a wakeup) allocate nothing. Caller holds
-// vm.mu; callers that insert into the result must allocate on nil.
-func (vm *VM) waitingLocked() map[ids.ThreadNum]ids.GCount {
-	if len(vm.turnWaiters) == 0 {
-		return nil
-	}
-	out := make(map[ids.ThreadNum]ids.GCount, len(vm.turnWaiters))
-	for gc, t := range vm.turnWaiters {
-		out[t.num] = gc
-	}
-	return out
 }
 
 // ThreadCount reports how many threads have been created so far in this run.
@@ -770,20 +735,18 @@ func (vm *VM) NextThreadNum() ids.ThreadNum {
 	return vm.nextThread
 }
 
-// Close finalizes the VM. In record mode it flushes any open schedule
-// intervals and appends the VMMeta record; the log set is then complete and
+// Close finalizes the VM. In record mode it flushes every turnstile's open
+// run and appends the VMMeta record; the log set is then complete and
 // can be saved or handed to a replay VM. Close is idempotent.
 func (vm *VM) Close() {
-	vm.threadsMu.Lock()
-	threads := append([]*Thread(nil), vm.threads...)
-	vm.threadsMu.Unlock()
-	for _, t := range threads {
-		t.finish()
-	}
-	if vm.mode == ids.Record && vm.orderMode == ids.OrderSharded {
-		// Flush open per-object access runs before the final vm-meta. Outside
-		// vm.mu: object locks are never nested inside the VM lock.
-		vm.flushObjRuns()
+	if vm.mode == ids.Record {
+		// Flush every open run before the final vm-meta, one turnstile lock
+		// at a time.
+		for _, ts := range vm.turnstiles() {
+			ts.mu.Lock()
+			ts.flushRunLocked()
+			ts.mu.Unlock()
+		}
 	}
 
 	vm.mu.Lock()
@@ -804,7 +767,7 @@ func (vm *VM) Close() {
 		vm.logs.Schedule.Append(&tracelog.VMMeta{
 			VM:      vm.id,
 			World:   vm.world,
-			Threads: uint32(len(threads)),
+			Threads: uint32(vm.ThreadCount()),
 			FinalGC: ids.GCount(vm.clock.Load()),
 		})
 		// With a WAL attached the final meta above is the last durable

@@ -132,20 +132,26 @@ func (e *Env) Connect(t *core.Thread, addr netsim.Addr) (*Socket, error) {
 	if !closedSc {
 		return nil, divergef("connect event %v to non-DJVM peer %v has no recorded result", eventID, addr)
 	}
+	// Dial before waiting for the turn. The record phase dialed before the
+	// connect's counter was assigned at completion, so the peer's accept, and
+	// what the peer did after it, may precede events this VM orders before
+	// the connect; dialing only at the turn can then deadlock the two VMs.
+	// The peer's replayed accept matches connections by connectionId, so an
+	// early arrival waits in its pool. A thread with no recorded event left
+	// does not dial: it stops or diverges at the turn, as before.
 	var (
 		s   *netsim.Stream
 		err error
 	)
-	t.BlockingKind(obs.KindSocket, func() {
+	if t.RemainingScheduled() > 0 {
 		s, err = e.dial(addr)
 		if err != nil {
 			err = divergef("connect %v: %v", addr, err)
-			return
-		}
-		if _, werr := s.Write(encodeMeta(connID)); werr != nil {
+		} else if _, werr := s.Write(encodeMeta(connID)); werr != nil {
 			err = divergef("connect %v: sending meta data: %v", addr, werr)
 		}
-	}, func(ids.GCount) {})
+	}
+	t.BlockingKind(obs.KindSocket, func() {}, func(ids.GCount) {})
 	if err != nil {
 		return nil, err
 	}

@@ -103,10 +103,11 @@ type GroupOutcome struct {
 // after Stop, after an episode fails, or once every member has either
 // completed cleanly (MarkDone) or crashed and been recovered.
 type GroupSupervisor struct {
-	cfg     GroupConfig
-	members []GroupMember
-	stop    chan struct{}
-	done    chan struct{}
+	cfg      GroupConfig
+	members  []GroupMember
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 
 	mu   sync.Mutex
 	mark map[int]bool // members marked done by MarkDone
@@ -145,11 +146,7 @@ func (g *GroupSupervisor) MarkDone(member int) {
 
 // Stop stands the supervisor down. Safe to call more than once.
 func (g *GroupSupervisor) Stop() {
-	select {
-	case <-g.stop:
-	default:
-		close(g.stop)
-	}
+	g.stopOnce.Do(func() { close(g.stop) })
 }
 
 // Wait blocks until supervision ends and returns the aggregated outcome. An

@@ -25,6 +25,7 @@ package super
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -92,12 +93,13 @@ type Outcome struct {
 // a VM that completes cleanly) or let detection run its course; Wait returns
 // the episode's outcome either way.
 type Supervisor struct {
-	cfg     Config
-	vm      *core.VM
-	stop    chan struct{}
-	done    chan struct{}
-	outcome *Outcome
-	err     error
+	cfg      Config
+	vm       *core.VM
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+	outcome  *Outcome
+	err      error
 }
 
 // Watch starts supervising vm's progress. The returned Supervisor owns a
@@ -123,11 +125,7 @@ func Watch(vm *core.VM, cfg Config) *Supervisor {
 // Stop stands the supervisor down (the supervised VM completed cleanly).
 // Safe to call more than once; no-op after detection already fired.
 func (s *Supervisor) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
+	s.stopOnce.Do(func() { close(s.stop) })
 }
 
 // Wait blocks until the supervision episode ends and returns its outcome:
