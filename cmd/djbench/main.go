@@ -20,12 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/ids"
 )
 
 func main() {
@@ -35,9 +33,6 @@ func main() {
 	verify := flag.Bool("verify", false, "record and replay once, checking outcome equality")
 	logsize := flag.Bool("logsize", false, "run the message-size vs log-size sweep (§6 note)")
 	obsJSON := flag.Bool("obs", false, "also emit each table as JSON with per-row obs snapshots")
-	corePath := flag.String("core", "", "run the engine-core benchmark and merge rows into this JSON file (BENCH_core.json)")
-	order := flag.String("order", "", "with -core: run the disjoint-object order-scaling workload instead, in these order modes (global, sharded, or both)")
-	label := flag.String("label", "current", "label for -core rows (e.g. baseline, optimized)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
@@ -49,53 +44,6 @@ func main() {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "  ... %s\n", msg)
 		}
-	}
-
-	if *corePath != "" {
-		// Thread counts beyond GOMAXPROCS time-share cores: scaling rows
-		// (and any sharded-vs-global comparison) then measure scheduling,
-		// not parallelism. Warn rather than fail — the rows are still valid
-		// single-core data points, and CoreMeta records gomaxprocs.
-		if maxP := runtime.GOMAXPROCS(0); maxThreads(threads) > maxP {
-			fmt.Fprintf(os.Stderr,
-				"warning: -threads %d exceeds GOMAXPROCS=%d; threads above it time-share cores, so scaling rows understate parallel speedups\n",
-				maxThreads(threads), maxP)
-		}
-		var rows []bench.CoreRow
-		if *order != "" {
-			orders, err := parseOrders(*order)
-			if err != nil {
-				fatal(err)
-			}
-			rows, err = bench.GenerateOrderScaling(threads, orders, *reps, *label, progress)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			var err error
-			rows, err = bench.GenerateCore(threads, *reps, *label, progress)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if err := bench.MergeCoreFile(*corePath, *label, rows, *reps); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d %q rows to %s\n", len(rows), *label, *corePath)
-		for _, r := range rows {
-			switch {
-			case r.Workload == "disjoint-obj":
-				fmt.Printf("  %-14s threads=%-2d %-7s order=%-7s %12.0f events/sec  turn-wait p50/p99 %d/%d ns\n",
-					r.Workload, r.Threads, r.Mode, r.Order, r.EventsPerSec, r.TurnWaitP50Ns, r.TurnWaitP99Ns)
-			case r.Workload == "table1-closed":
-				fmt.Printf("  %-14s threads=%-2d %-7s %12.0f events/sec  turn-wait p50/p99 %d/%d ns\n",
-					r.Workload, r.Threads, r.Mode, r.EventsPerSec, r.TurnWaitP50Ns, r.TurnWaitP99Ns)
-			default:
-				fmt.Printf("  %-14s %-7s %10.1f ns/op  %6.1f allocs/op  %8.1f B/op\n",
-					r.Workload, r.Mode, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-			}
-		}
-		return
 	}
 
 	if *verify {
@@ -152,30 +100,6 @@ func main() {
 		}
 		emit(srv)
 		emit(cli)
-	}
-}
-
-func maxThreads(threads []int) int {
-	max := 0
-	for _, n := range threads {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// parseOrders maps the -order flag to order modes.
-func parseOrders(s string) ([]ids.OrderMode, error) {
-	switch s {
-	case "global":
-		return []ids.OrderMode{ids.OrderGlobal}, nil
-	case "sharded":
-		return []ids.OrderMode{ids.OrderSharded}, nil
-	case "both":
-		return []ids.OrderMode{ids.OrderGlobal, ids.OrderSharded}, nil
-	default:
-		return nil, fmt.Errorf("djbench: -order wants global, sharded, or both; got %q", s)
 	}
 }
 

@@ -5,6 +5,7 @@
 //	djtrace -json <logdir>                 # machine-readable per-log summary
 //	djtrace -entries <logdir>              # stream every record as NDJSON
 //	djtrace -check <logdir>...             # validate log sets (cross-VM when several)
+//	djtrace -diff <logdir-a> <logdir-b>    # first scheduling/network difference
 //	djtrace -perfetto out.json <logdir>... # export the causal graph as Chrome trace JSON
 //	djtrace -critpath <logdir>...          # replay critical-path / stall analysis
 //	djtrace -why-diverged vm:gc [-k n] <logdir>...  # causal history of a divergence point
@@ -15,6 +16,8 @@
 // payloads, checkpoints), the NetworkLogFile, and the RecordedDatagramLog in
 // human-readable form; -json emits byte sizes, per-kind record counts and
 // interval/event totals as JSON; -check runs the logcheck validator instead.
+// -diff compares two recordings of the same program and reports where they
+// depart (exit 0 identical, 1 different, 2 usage).
 // The causal modes (-perfetto, -critpath, -why-diverged) reconstruct the
 // cross-VM happens-before graph from one log directory per VM; record with
 // causal tracing enabled to get handshake and stream edges.
@@ -40,6 +43,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit per-log summaries as JSON")
 	entries := flag.Bool("entries", false, "stream every record as NDJSON")
 	check := flag.Bool("check", false, "validate the log set(s) instead of dumping")
+	diff := flag.Bool("diff", false, "compare two log sets and report where they depart")
 	perfetto := flag.String("perfetto", "", "write the causal graph as Chrome trace-event JSON to `file`")
 	critpath := flag.Bool("critpath", false, "print the replay critical-path / stall report")
 	whyDiverged := flag.String("why-diverged", "", "print the causal history of divergence point `vm:gc`")
@@ -59,6 +63,23 @@ func main() {
 			fatal(err)
 		}
 		return
+	case *diff:
+		if flag.NArg() != 2 {
+			usage()
+		}
+		sets := loadSets(flag.Args())
+		rep, err := logcheck.Diff(sets[0], sets[1])
+		if err != nil {
+			fatal(err)
+		}
+		if rep.Same() {
+			fmt.Println("identical: the two log sets describe the same execution")
+			return
+		}
+		for _, line := range rep.Lines {
+			fmt.Println(line)
+		}
+		os.Exit(1)
 	case *perfetto != "" || *critpath || *whyDiverged != "":
 		if flag.NArg() < 1 {
 			usage()
@@ -134,6 +155,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: djtrace [-summary|-json|-entries] <logdir>
        djtrace -check <logdir>...
+       djtrace -diff <logdir-a> <logdir-b>
        djtrace -perfetto out.json <logdir>...
        djtrace -critpath <logdir>...
        djtrace -why-diverged vm:gc [-k n] <logdir>...

@@ -223,11 +223,16 @@ func TestWriteReportAndReporter(t *testing.T) {
 	m.IncEvent(KindShared, 7)
 	m.SetFinalGC(14)
 	m.ObserveTurnWait(time.Millisecond)
+	// Group-recovery counters alone must still bring up the recover line.
+	m.IncGroupEpoch()
+	m.IncGroupEpoch()
+	m.IncLineFallback()
 
 	var b strings.Builder
 	WriteReport(&b, m.Snapshot())
 	out := b.String()
-	for _, want := range []string{"replay", "50.0%", "gc 7/14", "shared=1", "turnwait"} {
+	for _, want := range []string{"replay", "50.0%", "gc 7/14", "shared=1", "turnwait",
+		"recover", "group-epochs 2", "line-fallbacks 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -239,6 +244,28 @@ func TestWriteReportAndReporter(t *testing.T) {
 	stop() // idempotent
 	if !strings.Contains(rb.String(), "gc 7/14") {
 		t.Errorf("reporter final flush missing:\n%s", rb.String())
+	}
+}
+
+// TestReporterConcurrentStop calls stop from two goroutines at once: exactly
+// one final report is written and neither call races the other (run with
+// -race).
+func TestReporterConcurrentStop(t *testing.T) {
+	m := &Metrics{}
+	m.SetFinalGC(3)
+	var rb syncBuilder
+	stop := StartReporter(&rb, time.Hour, m)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop()
+		}()
+	}
+	wg.Wait()
+	if n := strings.Count(rb.String(), "gc 0/3"); n != 1 {
+		t.Errorf("want one final report, got %d:\n%s", n, rb.String())
 	}
 }
 

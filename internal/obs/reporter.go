@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -46,9 +47,10 @@ func WriteReport(w io.Writer, s Snapshot) {
 			f.WALSyncs, f.WALTruncates, f.ConnectRetries, f.RudpRetransmits,
 			f.RudpBackoffCapped, f.PeerUnreachable, f.LogEndStops)
 	}
-	if s.Recovery.Recoveries > 0 || s.Recovery.Restarts > 0 || s.Recovery.Fallbacks > 0 {
-		fmt.Fprintf(w, "recover  recoveries %d  restarts %d  fallbacks %d\n",
-			s.Recovery.Recoveries, s.Recovery.Restarts, s.Recovery.Fallbacks)
+	if r := s.Recovery; r.Recoveries > 0 || r.Restarts > 0 || r.Fallbacks > 0 ||
+		r.GroupEpochs > 0 || r.LineFallbacks > 0 {
+		fmt.Fprintf(w, "recover  recoveries %d  restarts %d  fallbacks %d  group-epochs %d  line-fallbacks %d\n",
+			r.Recoveries, r.Restarts, r.Fallbacks, r.GroupEpochs, r.LineFallbacks)
 	}
 	writeHistLine(w, "turnwait", s.TurnWait)
 	writeHistLine(w, "gc-hold ", s.GCHold)
@@ -131,14 +133,12 @@ func StartReporter(w io.Writer, interval time.Duration, m *Metrics) (stop func()
 			}
 		}
 	}()
-	var once bool
+	var once sync.Once
 	return func() {
-		if once {
-			return
-		}
-		once = true
-		close(done)
-		<-finished
-		WriteReport(w, m.Snapshot())
+		once.Do(func() {
+			close(done)
+			<-finished
+			WriteReport(w, m.Snapshot())
+		})
 	}
 }

@@ -231,10 +231,10 @@ func (iv *Interval) decode(d *dec) {
 
 // OpenInterval is a periodic snapshot of a thread's still-open schedule
 // interval, appended to the WAL during record so crash recovery can credit
-// coverage that extendIntervalLocked has not flushed yet. An OpenInterval
-// with a given (Thread, First) is always a prefix of the Interval eventually
-// flushed with the same First, so recovery dedups by (Thread, First) keeping
-// the largest Last. It carries no schedule semantics: BuildScheduleIndex and
+// coverage that the turnstile's flushRunLocked has not flushed yet. An
+// OpenInterval with a given (Thread, First) is always a prefix of the
+// Interval eventually flushed with the same First, so recovery dedups by
+// (Thread, First) keeping the largest Last. It carries no schedule semantics: BuildScheduleIndex and
 // replay skip it.
 type OpenInterval struct {
 	Thread ids.ThreadNum

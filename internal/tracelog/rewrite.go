@@ -20,8 +20,8 @@ import (
 // order is the synthesized total order of the VM's *global* critical events:
 // order[i] names the thread that executes the event with global counter
 // BaseGC+i. Consecutive slots owned by the same thread are run-length
-// compressed into one Interval, exactly as the recorder's
-// extendIntervalLocked would have produced, so the composed intervals
+// compressed into one Interval, exactly as the recorder's turnstile.record
+// and flushRunLocked would have produced, so the composed intervals
 // partition [BaseGC, BaseGC+len(order)) and are strictly increasing per
 // thread — the two invariants BuildScheduleIndex and logcheck enforce.
 //
